@@ -21,10 +21,10 @@ import time
 
 import numpy as np
 
-from repro.chaos import default_plan, serve_with_faults
+from repro.chaos import KillHook, default_plan
 from repro.chaos.campaign import perturb_stream
 from repro.core.online import CordialService
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 
 PERF_OUTPUT = os.environ.get("REPRO_PERF_CHAOS_OUTPUT", "BENCH_chaos.json")
 
@@ -43,7 +43,7 @@ def test_chaos_harness_overhead(context, tmp_path):
 
     clean = CordialService(cordial, max_skew=MAX_SKEW)
     start = time.perf_counter()
-    serve_stream(clean, stream)
+    serve(clean, stream)
     t_clean = time.perf_counter() - start
 
     root = np.random.SeedSequence(0)
@@ -58,10 +58,11 @@ def test_chaos_harness_overhead(context, tmp_path):
     kill_points = sorted(int(k) for k in fault_rng.choice(
         np.arange(1, len(perturbed)), size=2, replace=False))
     start = time.perf_counter()
-    outcome = serve_with_faults(
+    hook = KillHook(fault_rng, tamper_modes=plan.tamper_modes)
+    _, served = serve(
         CordialService(cordial, max_skew=MAX_SKEW), perturbed, kill_points,
-        str(tmp_path / "bench-chaos.ckpt"), fault_rng,
-        tamper_modes=plan.tamper_modes)
+        str(tmp_path / "bench-chaos.ckpt"), on_kill=hook)
+    outcome = hook.outcome(served)
     t_faulted = time.perf_counter() - start
 
     record = {

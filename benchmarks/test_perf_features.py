@@ -35,7 +35,7 @@ from repro.core.features import BankPatternFeaturizer, CrossRowFeaturizer
 from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import collect_snapshots, collect_triggers
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 
 from conftest import BENCH_SCALE
 
@@ -121,12 +121,12 @@ def test_feature_extraction_speedups(context):
 
     incremental = CordialService(cordial, incremental_features=True)
     start = time.perf_counter()
-    _, fast_decisions = serve_stream(incremental, stream)
+    fast_decisions = serve(incremental, stream)[1].decisions
     t_incremental = time.perf_counter() - start
 
     recompute = CordialService(cordial, incremental_features=False)
     start = time.perf_counter()
-    _, slow_decisions = serve_stream(recompute, stream)
+    slow_decisions = serve(recompute, stream)[1].decisions
     t_recompute = time.perf_counter() - start
     assert [d.to_obj() for d in fast_decisions] == \
         [d.to_obj() for d in slow_decisions]

@@ -19,7 +19,7 @@ import os
 import time
 
 from repro.core.online import CordialService
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 from repro.obs import Observability
 
 PERF_OUTPUT = os.environ.get("REPRO_PERF_OBS_OUTPUT", "BENCH_obs.json")
@@ -43,14 +43,14 @@ def test_obs_overhead_is_bounded(context, tmp_path):
     def serve_bare():
         service = CordialService(cordial)
         start = time.perf_counter()
-        _, decisions = serve_stream(service, stream)
+        decisions = serve(service, stream)[1].decisions
         return time.perf_counter() - start, decisions
 
     def serve_observed(run_index):
         obs = Observability.create(tmp_path / f"obs-{run_index}")
         service = CordialService(cordial, obs=obs)
         start = time.perf_counter()
-        _, decisions = serve_stream(service, stream)
+        decisions = serve(service, stream)[1].decisions
         elapsed = time.perf_counter() - start
         obs.journal.close()
         return elapsed, decisions, obs

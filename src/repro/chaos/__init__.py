@@ -19,8 +19,8 @@ byte-identical decision logs and reports
 
 from repro.chaos.campaign import (CampaignConfig, run_campaign,
                                   run_chaos_campaign)
-from repro.chaos.faults import (ServeOutcome, TamperTrial,
-                                serve_with_faults, tamper_checkpoint)
+from repro.chaos.faults import (FaultedRun, KillHook, TamperTrial,
+                                tamper_checkpoint)
 from repro.chaos.operators import (OPERATORS, apply_operator,
                                    is_error_record)
 from repro.chaos.oracle import InvariantOracle, InvariantViolation
@@ -29,17 +29,17 @@ from repro.chaos.plan import ChaosPlan, OperatorSpec, default_plan
 __all__ = [
     "CampaignConfig",
     "ChaosPlan",
+    "FaultedRun",
     "InvariantOracle",
     "InvariantViolation",
+    "KillHook",
     "OPERATORS",
     "OperatorSpec",
-    "ServeOutcome",
     "TamperTrial",
     "apply_operator",
     "default_plan",
     "is_error_record",
     "run_campaign",
     "run_chaos_campaign",
-    "serve_with_faults",
     "tamper_checkpoint",
 ]

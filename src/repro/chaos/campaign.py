@@ -17,17 +17,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.faults import ServeOutcome, serve_with_faults
+from repro.chaos.faults import KillHook
 from repro.chaos.operators import apply_operator
 from repro.chaos.oracle import CleanBaseline, InvariantOracle
 from repro.chaos.plan import ChaosPlan
 from repro.core.online import CordialService, Decision
 from repro.core.pipeline import Cordial
+from repro.serving import ShardedCordialEngine, SupervisorConfig, serve
 from repro.telemetry.events import ErrorRecord
 
 
@@ -149,89 +151,42 @@ def run_one(cordial: Cordial, stream: Sequence[ErrorRecord],
         kill_points = []
     supervise = shards is not None and (plan.worker_faults_per_run > 0
                                         or plan.poison_per_run > 0)
-    supervised_extra: Optional[dict] = None
+    supervisor_config = None
+    worker_faults: List[Any] = []
+    twin = perturbed
+    planted = 0
+    poison_positions: List[int] = []
+    if supervise:
+        from repro.chaos.operators import plant_poison
+
+        poison_positions, worker_faults = _supervision_schedule(
+            plan, len(perturbed), shards, supervision_rng)
+        perturbed, twin, planted = plant_poison(perturbed, poison_positions)
+        supervisor_config = SupervisorConfig(
+            max_restarts=(2 * planted + len(worker_faults) + 4),
+            batch_timeout=5.0, snapshot_every=8, poison_threshold=2,
+            backoff_base=0.0)
 
     if shards is not None:
-        import shutil
-
-        from repro.chaos.faults import serve_engine_with_faults
-        from repro.serving.engine import ShardedCordialEngine
-
-        supervisor_config = None
-        worker_faults: List[Any] = []
-        twin = perturbed
-        planted = 0
-        poison_positions: List[int] = []
-        if supervise:
-            from repro.chaos.operators import plant_poison
-            from repro.serving.supervisor import SupervisorConfig
-
-            poison_positions, worker_faults = _supervision_schedule(
-                plan, len(perturbed), shards, supervision_rng)
-            perturbed, twin, planted = plant_poison(perturbed,
-                                                    poison_positions)
-            supervisor_config = SupervisorConfig(
-                max_restarts=(2 * planted + len(worker_faults) + 4),
-                batch_timeout=5.0, snapshot_every=8, poison_threshold=2,
-                backoff_base=0.0)
-
-        checkpoint_dir = os.path.join(workdir,
-                                      f"chaos-run-{run_index}.fleet")
-        engine = ShardedCordialEngine(cordial, shards, n_jobs=engine_jobs,
-                                      spares_per_bank=plan.spares_per_bank,
-                                      max_skew=plan.max_skew,
-                                      supervisor=supervisor_config)
-        try:
-            engine, outcome = serve_engine_with_faults(
-                engine, perturbed, kill_points, checkpoint_dir, fault_rng,
-                tamper_modes=plan.tamper_modes,
-                worker_faults=worker_faults)
-        finally:
-            engine.close()
-            shutil.rmtree(checkpoint_dir, ignore_errors=True)
-        checkpoint_path = None
-
-        if supervise:
-            twin_engine = ShardedCordialEngine(
-                cordial, shards, n_jobs=1,
-                spares_per_bank=plan.spares_per_bank,
-                max_skew=plan.max_skew)
-            try:
-                from repro.serving.engine import serve_stream_sharded
-
-                twin_engine, twin_outcome = serve_stream_sharded(
-                    twin_engine, twin)
-            finally:
-                twin_engine.close()
-            twin_icr = twin_outcome.service.coverage(truth)
-            supervised_extra = {
-                "supervised": True,
-                "poison_positions": poison_positions,
-                "poison_planted": planted,
-                "worker_faults": [f.to_obj() for f in worker_faults],
-                "twin_decisions_digest": decisions_digest(
-                    twin_outcome.decisions),
-                "supervision_violations": [
-                    v.to_obj() for v in oracle.check_supervision(
-                        outcome.service.state_dict(),
-                        twin_outcome.service.state_dict(),
-                        outcome.decisions, twin_outcome.decisions,
-                        outcome.service.coverage(truth), twin_icr,
-                        poison_planted=planted)],
-            }
+        sink = ShardedCordialEngine(cordial, shards, n_jobs=engine_jobs,
+                                    spares_per_bank=plan.spares_per_bank,
+                                    max_skew=plan.max_skew,
+                                    supervisor=supervisor_config)
     else:
-        checkpoint_path = os.path.join(workdir,
-                                       f"chaos-run-{run_index}.ckpt")
-        outcome = serve_with_faults(
-            _service_for(cordial, plan), perturbed, kill_points,
-            checkpoint_path, fault_rng, tamper_modes=plan.tamper_modes)
+        sink = _service_for(cordial, plan)
+    # A service checkpoint is a file, a fleet's a directory: both live
+    # in the run's own scratch directory, removed once judged.
+    run_dir = os.path.join(workdir, f"chaos-run-{run_index}")
+    os.makedirs(run_dir, exist_ok=True)
+    hook = KillHook(fault_rng, plan.tamper_modes)
+    _, served = serve(sink, perturbed, kill_points=kill_points,
+                      checkpoint_path=os.path.join(run_dir, "checkpoint"),
+                      worker_faults=worker_faults, on_kill=hook)
+    outcome = hook.outcome(served)
     icr = outcome.service.coverage(truth)
-    scratch = os.path.join(workdir, f"chaos-run-{run_index}.oracle.ckpt")
-    violation_objs = [v.to_obj()
-                      for v in oracle.check_run(outcome, icr, scratch)]
-    for path in (checkpoint_path, scratch):
-        if path is not None and os.path.exists(path):
-            os.remove(path)
+    violations = oracle.check_run(outcome, icr,
+                                  os.path.join(run_dir, "oracle.ckpt"))
+    shutil.rmtree(run_dir)
     report = {
         "run": run_index,
         "operators": applied,
@@ -241,11 +196,24 @@ def run_one(cordial: Cordial, stream: Sequence[ErrorRecord],
         "summary": _summarize(outcome.service, outcome.decisions, icr),
         "decisions_digest": decisions_digest(outcome.decisions),
     }
-    if supervised_extra is not None:
-        violation_objs += supervised_extra.pop("supervision_violations")
-        report.update(supervised_extra)
-    report["violations"] = violation_objs
-    report["ok"] = not violation_objs
+    if supervise:
+        _, twin_outcome = serve(ShardedCordialEngine(
+            cordial, shards, n_jobs=1, spares_per_bank=plan.spares_per_bank,
+            max_skew=plan.max_skew), twin)
+        report.update({
+            "supervised": True,
+            "poison_positions": poison_positions,
+            "poison_planted": planted,
+            "worker_faults": [f.to_obj() for f in worker_faults],
+            "twin_decisions_digest": decisions_digest(
+                twin_outcome.decisions),
+        })
+        violations += oracle.check_supervision(
+            outcome.service.state_dict(), twin_outcome.service.state_dict(),
+            outcome.decisions, twin_outcome.decisions, icr,
+            twin_outcome.service.coverage(truth), poison_planted=planted)
+    report["violations"] = [v.to_obj() for v in violations]
+    report["ok"] = not violations
     return report
 
 
@@ -281,10 +249,9 @@ def run_campaign(cordial: Cordial, stream: Sequence[ErrorRecord],
             and a closing ``campaign`` event; none of it enters the
             report, which stays byte-stable and path-free.
     """
-    from repro.experiments.serve import serve_stream
-
-    clean_service = _service_for(cordial, plan, obs=obs)
-    clean_service, clean_decisions = serve_stream(clean_service, stream)
+    _, clean_outcome = serve(_service_for(cordial, plan, obs=obs), stream)
+    clean_service = clean_outcome.service
+    clean_decisions = clean_outcome.decisions
     clean_icr = clean_service.coverage(truth)
     clean = CleanBaseline(decision_count=len(clean_decisions),
                           icr=clean_icr)

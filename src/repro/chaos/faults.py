@@ -1,13 +1,15 @@
 """Process-level faults: kill/restore cycles and checkpoint tampering.
 
-``serve_with_faults`` drives a :class:`~repro.core.online.CordialService`
-through a stream while killing the process at scheduled ingest points:
-at each kill the service is checkpointed, *the object is discarded*, and
-a fresh service is restored from the file — the same restart the
-``serve-replay --checkpoint`` path exercises once, here repeated at
-arbitrary depth.  Optionally every kill also load-tests deliberately
-damaged copies of the checkpoint (truncated, header-mangled, key-dropped)
-and records whether the persistence layer rejected them with the typed
+The one serving loop (:func:`repro.serving.serve`) kills a service or
+a whole fleet at scheduled ingest points: at each kill the sink is
+checkpointed, *the object is discarded*, and a fresh one is restored
+from the checkpoint — the same restart the ``serve-replay --checkpoint``
+path exercises once, here repeated at arbitrary depth.  The chaos side
+of a kill is :class:`KillHook`: it snapshots the isolation ledger for
+the monotonicity invariant and optionally load-tests deliberately
+damaged copies of the checkpoint (truncated, header-mangled,
+key-dropped), recording whether the persistence layer rejected them
+with the typed
 :class:`~repro.core.persistence.CheckpointCorruptionError` — the oracle
 turns any undetected tamper into a violation.
 
@@ -21,14 +23,14 @@ import copy
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.online import CordialService, Decision
+from repro.core.online import CordialService, Decision, ServeOutcome
 from repro.core.persistence import (CheckpointCorruptionError,
-                                    load_service_checkpoint,
-                                    save_service_checkpoint)
+                                    load_service_checkpoint)
+from repro.serving.engine import load_merged_checkpoint
 
 #: Supported checkpoint tampering modes.
 TAMPER_MODES = ("truncate", "mangle_header", "drop_key")
@@ -65,6 +67,11 @@ class WorkerFault:
         if self.at_event < 1:
             raise ValueError("at_event must be >= 1")
 
+    @property
+    def engine_mode(self) -> str:
+        """The engine's in-band chaos mode this operator injects."""
+        return WORKER_FAULT_MODES[self.mode]
+
     def to_obj(self) -> dict:
         """JSON-ready rendering."""
         return {"at_event": self.at_event, "shard": self.shard,
@@ -93,7 +100,7 @@ class TamperTrial:
 
 
 @dataclass
-class ServeOutcome:
+class FaultedRun:
     """Everything one faulted serve produced, for the oracle to judge.
 
     Attributes:
@@ -154,6 +161,19 @@ def tamper_checkpoint(path: str, mode: str, rng: np.random.Generator,
     return destination
 
 
+def _load_trial(mode: str, load) -> TamperTrial:
+    """One load of damaged bytes: detected iff the typed error is raised."""
+    try:
+        load()
+    except CheckpointCorruptionError as exc:
+        return TamperTrial(mode=mode, detected=True,
+                           error=type(exc).__name__)
+    except Exception as exc:  # wrong type: a miss, not a crash
+        return TamperTrial(mode=mode, detected=False,
+                           error=type(exc).__name__)
+    return TamperTrial(mode=mode, detected=False, error="")
+
+
 def run_tamper_trials(path: str, modes: Sequence[str],
                       rng: np.random.Generator) -> List[TamperTrial]:
     """Load-test one tampered copy of ``path`` per mode."""
@@ -161,15 +181,8 @@ def run_tamper_trials(path: str, modes: Sequence[str],
     for mode in modes:
         damaged = tamper_checkpoint(path, mode, rng)
         try:
-            load_service_checkpoint(damaged)
-        except CheckpointCorruptionError as exc:
-            trials.append(TamperTrial(mode=mode, detected=True,
-                                      error=type(exc).__name__))
-        except Exception as exc:  # wrong type: a miss, not a crash
-            trials.append(TamperTrial(mode=mode, detected=False,
-                                      error=type(exc).__name__))
-        else:
-            trials.append(TamperTrial(mode=mode, detected=False, error=""))
+            trials.append(_load_trial(
+                mode, lambda: load_service_checkpoint(damaged)))
         finally:
             os.remove(damaged)
     return trials
@@ -191,148 +204,61 @@ def run_fleet_tamper_trials(directory: str, modes: Sequence[str],
                                           load_fleet_checkpoint,
                                           shard_file_name)
 
-    def attempt(label: str) -> TamperTrial:
+    def damaged_load(name: str, mode: str, label: str) -> TamperTrial:
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            original = handle.read()
         try:
-            load_fleet_checkpoint(directory)
-        except CheckpointCorruptionError as exc:
-            return TamperTrial(mode=label, detected=True,
-                               error=type(exc).__name__)
-        except Exception as exc:  # wrong type: a miss, not a crash
-            return TamperTrial(mode=label, detected=False,
-                               error=type(exc).__name__)
-        return TamperTrial(mode=label, detected=False, error="")
+            tamper_checkpoint(path, mode, rng, destination=path)
+            return _load_trial(label,
+                               lambda: load_fleet_checkpoint(directory))
+        finally:
+            with open(path, "wb") as handle:
+                handle.write(original)
 
-    trials: List[TamperTrial] = []
-    shard_path = os.path.join(directory, shard_file_name(0))
-    for mode in modes:
-        with open(shard_path, "rb") as handle:
-            original = handle.read()
-        try:
-            tamper_checkpoint(shard_path, mode, rng, destination=shard_path)
-            trials.append(attempt(f"shard:{mode}"))
-        finally:
-            with open(shard_path, "wb") as handle:
-                handle.write(original)
-    manifest_path = os.path.join(directory, MANIFEST_FILE)
-    for mode in modes:
-        if mode == "drop_key":
-            continue
-        with open(manifest_path, "rb") as handle:
-            original = handle.read()
-        try:
-            tamper_checkpoint(manifest_path, mode, rng,
-                              destination=manifest_path)
-            trials.append(attempt(f"manifest:{mode}"))
-        finally:
-            with open(manifest_path, "wb") as handle:
-                handle.write(original)
+    trials = [damaged_load(shard_file_name(0), mode, f"shard:{mode}")
+              for mode in modes]
+    trials += [damaged_load(MANIFEST_FILE, mode, f"manifest:{mode}")
+               for mode in modes if mode != "drop_key"]
     return trials
 
 
-def _fleet_replay_snapshot(directory: str) -> dict:
-    """Merged ``IsolationReplay.state_dict()`` of a fleet checkpoint.
+class KillHook:
+    """The chaos side of each kill: ``serve(..., on_kill=hook)``.
 
-    Gives the oracle's isolation-monotonicity invariant the same
-    single-ledger view it gets from a single-service checkpoint.
+    At every kill checkpoint it snapshots the isolation ledger (a
+    fleet's merged from its checkpoint directory) and, with
+    ``tamper_modes``, load-tests damaged copies of the checkpoint;
+    :meth:`outcome` then packages the finished run for the oracle.
+    Every tamper choice comes from ``rng``.
     """
-    from repro.serving.checkpoint import load_fleet_checkpoint
-    from repro.serving.merge import merge_service_states
-    from repro.telemetry.metrics import EXPORT_VERSION
 
-    manifest, services = load_fleet_checkpoint(directory)
-    merged = merge_service_states(
-        [service.state_dict() for service in services],
-        manifest["router"], manifest["stats"],
-        {"version": EXPORT_VERSION,
-         "counters": dict(manifest["counters"]), "gauges": {}})
-    return merged["replay"]
+    def __init__(self, rng: np.random.Generator,
+                 tamper_modes: Sequence[str] = ()) -> None:
+        self.rng = rng
+        self.tamper_modes = tuple(tamper_modes)
+        self.restore_count = 0
+        self.tamper_trials: List[TamperTrial] = []
+        self.isolation_snapshots: List[dict] = []
 
+    def __call__(self, sink, path: str) -> None:
+        self.restore_count += 1
+        if isinstance(sink, CordialService):
+            snapshot = copy.deepcopy(sink.replay.state_dict())
+            trials = run_tamper_trials
+        else:
+            snapshot = load_merged_checkpoint(path)[2]["replay"]
+            trials = run_fleet_tamper_trials
+        self.isolation_snapshots.append(snapshot)
+        if self.tamper_modes:
+            self.tamper_trials.extend(trials(path, self.tamper_modes,
+                                             self.rng))
 
-def serve_engine_with_faults(engine, stream: Sequence[Any],
-                             kill_points: Sequence[int],
-                             checkpoint_dir: str,
-                             rng: np.random.Generator,
-                             tamper_modes: Sequence[str] = (),
-                             worker_faults: Sequence[WorkerFault] = ()
-                             ) -> Tuple[Any, ServeOutcome]:
-    """Fleet counterpart of :func:`serve_with_faults`.
-
-    At each kill point the *whole fleet* is checkpointed into
-    ``checkpoint_dir``, every worker is torn down, and a successor engine
-    restored from the directory serves on — the sharded crash/restart
-    path under chaos.  ``worker_faults`` additionally injects per-shard
-    worker faults (crash/hang/garbage) at their scheduled ingest points;
-    the engine must be supervised for those to be survivable.  Returns
-    ``(engine, outcome)``: the engine that finished the stream (close
-    it!), and a :class:`ServeOutcome` whose ``service`` is the merged
-    single-service view, so the invariant oracle judges the fleet with
-    the battery it already has.
-    """
-    from repro.serving.merge import merge_decisions
-
-    kills = sorted({int(k) for k in kill_points if 1 <= k <= len(stream)})
-    pending_faults: dict = {}
-    for fault in worker_faults:
-        pending_faults.setdefault(int(fault.at_event), []).append(fault)
-    segments: List[List[Decision]] = []
-    trials: List[TamperTrial] = []
-    snapshots: List[dict] = []
-    restores = 0
-    for index, item in enumerate(stream, start=1):
-        engine.submit(item)
-        for fault in pending_faults.pop(index, []):
-            engine.inject_fault(fault.shard, WORKER_FAULT_MODES[fault.mode])
-        if kills and index == kills[0]:
-            kills.pop(0)
-            engine.checkpoint(checkpoint_dir)
-            segments.extend(engine.drain_segments())
-            snapshots.append(_fleet_replay_snapshot(checkpoint_dir))
-            if tamper_modes:
-                trials.extend(run_fleet_tamper_trials(
-                    checkpoint_dir, tamper_modes, rng))
-            engine.close()
-            engine = engine.restore_successor(checkpoint_dir)
-            restores += 1
-    outcome = engine.finish()
-    decisions = outcome.decisions
-    if segments:
-        decisions = merge_decisions(segments + [decisions])
-    snapshots.append(copy.deepcopy(outcome.service.replay.state_dict()))
-    return engine, ServeOutcome(
-        service=outcome.service, decisions=decisions,
-        restore_count=restores, tamper_trials=trials,
-        isolation_snapshots=snapshots)
-
-
-def serve_with_faults(service: CordialService, stream: Sequence[Any],
-                      kill_points: Sequence[int], checkpoint_path: str,
-                      rng: np.random.Generator,
-                      tamper_modes: Sequence[str] = ()) -> ServeOutcome:
-    """Serve ``stream`` with kill/restore faults at ``kill_points``.
-
-    ``kill_points`` are 1-based ingest counts: after the k-th ``ingest``
-    call the service is checkpointed to ``checkpoint_path``, optionally
-    tamper-tested, and replaced by a fresh instance restored from the
-    file.  Points outside ``1..len(stream)`` are ignored.
-    """
-    kills = sorted({int(k) for k in kill_points if 1 <= k <= len(stream)})
-    decisions: List[Decision] = []
-    trials: List[TamperTrial] = []
-    snapshots: List[dict] = []
-    restores = 0
-    for index, item in enumerate(stream, start=1):
-        decisions.extend(service.ingest(item))
-        if kills and index == kills[0]:
-            kills.pop(0)
-            save_service_checkpoint(service, checkpoint_path)
-            snapshots.append(copy.deepcopy(service.replay.state_dict()))
-            if tamper_modes:
-                trials.extend(
-                    run_tamper_trials(checkpoint_path, tamper_modes, rng))
-            service = load_service_checkpoint(checkpoint_path)
-            restores += 1
-    decisions.extend(service.flush())
-    snapshots.append(copy.deepcopy(service.replay.state_dict()))
-    return ServeOutcome(service=service, decisions=decisions,
-                        restore_count=restores, tamper_trials=trials,
-                        isolation_snapshots=snapshots)
+    def outcome(self, served: ServeOutcome) -> FaultedRun:
+        """The faulted run of ``served`` (plus its end-of-stream ledger)."""
+        return FaultedRun(
+            service=served.service, decisions=served.decisions,
+            restore_count=self.restore_count,
+            tamper_trials=list(self.tamper_trials),
+            isolation_snapshots=self.isolation_snapshots + [
+                copy.deepcopy(served.service.replay.state_dict())])

@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.chaos.faults import ServeOutcome
+from repro.chaos.faults import FaultedRun
 from repro.chaos.plan import ChaosPlan
 from repro.core.online import CordialService
 from repro.core.persistence import (load_service_checkpoint,
@@ -260,7 +260,7 @@ class InvariantOracle:
                     f"{counted:g}, stats say {count}"))
         return violations
 
-    def check_tamper_detection(self, outcome: ServeOutcome
+    def check_tamper_detection(self, outcome: FaultedRun
                                ) -> List[InvariantViolation]:
         """Every damaged checkpoint must have been rejected, typed."""
         return [InvariantViolation(
@@ -351,7 +351,7 @@ class InvariantOracle:
         return violations
 
     # -- the full battery ----------------------------------------------------
-    def check_run(self, outcome: ServeOutcome, icr: float,
+    def check_run(self, outcome: FaultedRun, icr: float,
                   scratch_path: str) -> List[InvariantViolation]:
         """Run every invariant over one finished serve; [] means healthy."""
         service = outcome.service

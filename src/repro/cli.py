@@ -163,8 +163,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     stats/metrics as JSON.  Decisions are byte-identical for any
     ``--shards`` / ``--jobs`` combination, supervised or not.
     """
-    from repro.serving import (ShardedCordialEngine, SupervisorConfig,
-                               serve_stream_sharded)
+    from repro.serving import ShardedCordialEngine, SupervisorConfig, serve
 
     cordial = load_cordial(args.pipeline)
     store = _load_store(args.log)
@@ -175,13 +174,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             batch_timeout=args.batch_timeout,
             poison_threshold=args.poison_threshold,
             snapshot_every=args.snapshot_every)
-    engine = ShardedCordialEngine(cordial, n_shards=args.shards,
-                                  n_jobs=args.jobs, max_skew=args.max_skew,
-                                  supervisor=supervisor)
-    try:
-        engine, outcome = serve_stream_sharded(engine, list(store))
-    finally:
-        engine.close()
+    engine, outcome = serve(
+        ShardedCordialEngine(cordial, n_shards=args.shards, n_jobs=args.jobs,
+                             max_skew=args.max_skew, supervisor=supervisor),
+        list(store))
     payload = {
         "decisions": [d.to_obj() for d in outcome.decisions],
         "stats": outcome.stats,

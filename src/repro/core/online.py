@@ -117,6 +117,31 @@ class ServiceStats:
                    decisions_by_action=dict(state["decisions_by_action"]))
 
 
+@dataclass
+class ServeOutcome:
+    """What a finished serve hands back, from one service or a fleet.
+
+    Attributes:
+        decisions: every decision of the run in emission order
+            (checkpoint/restart epochs included).
+        service: a real ``CordialService`` holding the final state — for
+            a fleet, the merged shard states — so reports, coverage
+            queries and checkpoints work on either.
+        stats: the :class:`ServiceStats` document.
+        metrics: the metrics export document (a fleet keeps counters
+            only: its gauges and histograms are per-shard wall-clock
+            series with no shard-count-invariant meaning).
+        obs: a fleet's per-shard observability blocks plus roll-up,
+            when it ran observed.
+    """
+
+    decisions: List[Decision]
+    service: "CordialService"
+    stats: dict
+    metrics: dict
+    obs: Optional[dict] = field(default=None)
+
+
 class CordialService:
     """Streaming front-end over a fitted Cordial model.
 
@@ -128,6 +153,11 @@ class CordialService:
     distinct UER row, bank-spare scattered banks, row-spare predicted
     blocks for aggregation banks, optionally re-predict on every further
     UER.
+
+    The service is also a stream sink for :func:`repro.serving.serve`:
+    ``submit`` / ``checkpoint`` / ``restore_successor`` /
+    ``drain_segments`` / ``finish`` / ``close``, the surface of the
+    sharded fleet engine.
 
     Args:
         cordial: a *fitted* Cordial pipeline.
@@ -175,6 +205,7 @@ class CordialService:
         self._uer_rows: Dict[tuple, List[int]] = {}
         self._feature_state: Dict[tuple, IncrementalFeatureState] = {}
         self._explainer = None  # lazily built when obs.audit.attributions
+        self._undelivered: List[Decision] = []
 
     # -- event path ----------------------------------------------------------
     def ingest(self, record: ErrorRecord) -> List[Decision]:
@@ -187,33 +218,28 @@ class CordialService:
                 if self.obs is not None else nullcontext())
         with span, self.metrics.timer("service.ingest_seconds"):
             self.stats.events_ingested += 1
-            decisions: List[Decision] = []
-            for released, trigger in self.collector.ingest(record):
-                decisions.extend(self._process(released, trigger))
-            for decision in decisions:
-                self.stats.record_decision(decision)
-                self.metrics.counter(
-                    "service.decisions",
-                    labels={"action": decision.action}).inc()
+            decisions = self._process_released(self.collector.ingest(record))
         return decisions
 
     def flush(self) -> List[Decision]:
         """Release the reorder buffer (end of stream); returns decisions."""
         span = (self.obs.tracer.span("service.flush")
                 if self.obs is not None else nullcontext())
-        decisions: List[Decision] = []
         with span:
-            self._flush_into(decisions)
+            decisions = self._process_released(self.collector.flush())
         return decisions
 
-    def _flush_into(self, decisions: List[Decision]) -> None:
-        for released, trigger in self.collector.flush():
-            decisions.extend(self._process(released, trigger))
+    def _process_released(self, released) -> List[Decision]:
+        """Process released events in order; count their decisions."""
+        decisions: List[Decision] = []
+        for record, trigger in released:
+            decisions.extend(self._process(record, trigger))
         for decision in decisions:
             self.stats.record_decision(decision)
             self.metrics.counter(
                 "service.decisions",
                 labels={"action": decision.action}).inc()
+        return decisions
 
     def _process(self, record: ErrorRecord, trigger) -> List[Decision]:
         """Handle one *released* (in-order) event."""
@@ -376,6 +402,53 @@ class CordialService:
             if history[index] is record:
                 return history[:index + 1]
         return history
+
+    # -- stream-sink surface ---------------------------------------------------
+    def submit(self, record: ErrorRecord) -> None:
+        """Ingest one event; its decisions wait for a drain or finish."""
+        self._undelivered.extend(self.ingest(record))
+
+    def drain_segments(self) -> List[List[Decision]]:
+        """Take the decisions submitted events caused since the last drain."""
+        segment, self._undelivered = self._undelivered, []
+        return [segment]
+
+    def checkpoint(self, path: str) -> str:
+        """Write a service checkpoint file mid-stream; returns its path."""
+        from repro.core.persistence import save_service_checkpoint
+
+        if self.obs is not None:
+            self.obs.journal.checkpoint(
+                "save", at_event=self.stats.events_ingested)
+        save_service_checkpoint(self, path)
+        return path
+
+    def restore_successor(self, path: str) -> "CordialService":
+        """The restarted service that resumes from checkpoint ``path``.
+
+        The successor takes over this service's undrained decisions and
+        its live observability bundle: the journal keeps appending and
+        the audit trail resumes from the checkpointed records.
+        """
+        from repro.core.persistence import load_service_checkpoint
+
+        successor = load_service_checkpoint(path, obs=self.obs)
+        successor._undelivered = self._undelivered
+        if self.obs is not None:
+            self.obs.journal.checkpoint(
+                "restore", at_event=successor.stats.events_ingested)
+        return successor
+
+    def finish(self) -> ServeOutcome:
+        """Flush the reorder buffer; every undrained decision, in order."""
+        [decisions] = self.drain_segments()
+        decisions.extend(self.flush())
+        return ServeOutcome(decisions=decisions, service=self,
+                            stats=self.stats.to_dict(),
+                            metrics=self.metrics.as_dict())
+
+    def close(self) -> None:
+        """Nothing to release: a service runs in the caller's process."""
 
     # -- queries ------------------------------------------------------------------
     def is_row_isolated(self, bank_key: tuple, row: int,

@@ -23,6 +23,7 @@ from repro.datasets import FleetGenConfig, generate_fleet_dataset
 from repro.ml.selection import train_test_split_groups
 from repro.obs import Observability, build_provenance
 from repro.obs.tracer import resolve_clock
+from repro.serving import ShardedCordialEngine, SupervisorConfig, serve
 from repro.telemetry.events import ErrorRecord
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -60,51 +61,6 @@ def bounded_shuffle(records: Sequence[ErrorRecord], max_skew: float,
     jitter = rng.uniform(-half, half, size=len(records))
     order = np.argsort(timestamps + jitter, kind="stable")
     return [records[i] for i in order]
-
-
-def serve_stream(service: CordialService,
-                 records: Sequence[ErrorRecord],
-                 checkpoint_path: Optional[str] = None,
-                 checkpoint_at: Optional[int] = None,
-                 ) -> Tuple[CordialService, List[Decision]]:
-    """Feed ``records`` through ``service`` (ingest + final flush).
-
-    When both ``checkpoint_path`` and ``checkpoint_at`` are given, the
-    service is snapshotted after ``checkpoint_at`` events, *restored from
-    that file into a fresh service*, and the stream continues on the
-    restored instance — exercising the crash/restart path for real.
-
-    Returns ``(service, decisions)`` — the service actually holding the
-    final state (the restored one when a checkpoint was taken).
-
-    Raises ``ValueError`` when ``checkpoint_at`` lies outside the
-    stream: the restart path would silently never run, which is a
-    misconfiguration (the checkpoint you asked for does not exist), not
-    a degenerate no-op.
-    """
-    if checkpoint_path is not None and checkpoint_at is not None:
-        if not 1 <= checkpoint_at <= len(records):
-            raise ValueError(
-                f"checkpoint_at={checkpoint_at} outside the stream "
-                f"(1..{len(records)}); the checkpoint would never fire")
-    decisions: List[Decision] = []
-    for index, record in enumerate(records):
-        decisions.extend(service.ingest(record))
-        if checkpoint_path is not None and checkpoint_at == index + 1:
-            from repro.core.persistence import (load_service_checkpoint,
-                                                save_service_checkpoint)
-            # The live obs bundle survives the restart: the journal file
-            # keeps appending and the audit trail resumes from the
-            # checkpointed records (the ``obs`` slice of the document).
-            obs = service.obs
-            if obs is not None:
-                obs.journal.checkpoint("save", at_event=index + 1)
-            save_service_checkpoint(service, checkpoint_path)
-            service = load_service_checkpoint(checkpoint_path, obs=obs)
-            if obs is not None:
-                obs.journal.checkpoint("restore", at_event=index + 1)
-    decisions.extend(service.flush())
-    return service, decisions
 
 
 def build_report(service: CordialService, decisions: Sequence[Decision],
@@ -269,103 +225,57 @@ def run_serve_replay(scale: float = 0.12, seed: int = 42,
         "stream_events": len(stream),
         "checkpointed_at": checkpoint_at if checkpoint_path else None,
     }
+    obs = provenance = supervisor = None
     if shards is not None:
         config["shards"] = shards
-        supervisor = None
-        if supervise:
-            from repro.serving import SupervisorConfig
-
-            supervisor = SupervisorConfig(
-                max_restarts=max_restarts, batch_timeout=batch_timeout,
-                poison_threshold=poison_threshold,
-                snapshot_every=snapshot_every)
-            config["supervise"] = {
-                "max_restarts": max_restarts,
-                "batch_timeout": batch_timeout,
-                "poison_threshold": poison_threshold,
-                "snapshot_every": snapshot_every,
-            }
-        return _run_serve_replay_sharded(
-            cordial, stream, truth, config, shards=shards, jobs=jobs,
-            max_skew=max_skew, spares_per_bank=spares_per_bank,
-            checkpoint_path=checkpoint_path, checkpoint_at=checkpoint_at,
-            obs_dir=obs_dir, audit_attributions=audit_attributions,
-            seed=seed, shuffle_seed=shuffle_seed, supervisor=supervisor)
-    metrics = MetricsRegistry()
-    obs = None
-    if obs_dir is not None:
-        obs = Observability.create(
-            obs_dir, metrics=metrics,
-            provenance=build_provenance(
-                seeds={"generator": seed, "shuffle": shuffle_seed,
-                       "split": SPLIT_SEED},
-                config=config),
-            attributions=audit_attributions)
-    service = CordialService(cordial, spares_per_bank=spares_per_bank,
-                             max_skew=max_skew, metrics=metrics, obs=obs)
-
-    probe = TimingProbe(obs)
-    service, decisions = serve_stream(service, stream,
-                                      checkpoint_path=checkpoint_path,
-                                      checkpoint_at=checkpoint_at)
-    timing = probe.finish(len(stream))
-
-    report = build_report(service, decisions, truth, config=config,
-                          timing=timing)
-    if obs is not None:
-        artifacts = obs.export(obs_dir, metrics=service.metrics)
-        report["obs"] = {"artifacts": artifacts, "summary": obs.summary()}
-    return report
-
-
-def _run_serve_replay_sharded(cordial, stream, truth, config, *,
-                              shards: int, jobs: int, max_skew: float,
-                              spares_per_bank: int,
-                              checkpoint_path: Optional[str],
-                              checkpoint_at: Optional[int],
-                              obs_dir: Optional[str],
-                              audit_attributions: bool,
-                              seed: int, shuffle_seed: int,
-                              supervisor=None) -> dict:
-    """The ``--shards`` serve-replay path: fleet engine + merged report.
-
-    The merged service is a real :class:`CordialService`, so
-    :func:`build_report` runs on it unchanged; only the metrics block is
-    taken from the fleet merge (counters only — gauges and histograms
-    are per-shard wall-clock series with no shard-count-invariant
-    meaning), which is what makes the report byte-comparable across
-    shard counts modulo the timing block.
-    """
-    from repro.serving import ShardedCordialEngine, serve_stream_sharded
-
-    provenance = None
+    if supervise:
+        config["supervise"] = {
+            "max_restarts": max_restarts,
+            "batch_timeout": batch_timeout,
+            "poison_threshold": poison_threshold,
+            "snapshot_every": snapshot_every,
+        }
+        supervisor = SupervisorConfig(**config["supervise"])
     if obs_dir is not None:
         provenance = build_provenance(
             seeds={"generator": seed, "shuffle": shuffle_seed,
                    "split": SPLIT_SEED},
             config=config)
-    engine = ShardedCordialEngine(
-        cordial, n_shards=shards, n_jobs=jobs,
-        spares_per_bank=spares_per_bank, max_skew=max_skew,
-        obs_dir=obs_dir, obs_provenance=provenance,
-        obs_attributions=audit_attributions, supervisor=supervisor)
-    probe = TimingProbe(None)
-    try:
-        engine, outcome = serve_stream_sharded(
-            engine, stream, checkpoint_dir=checkpoint_path,
-            checkpoint_at=checkpoint_at if checkpoint_path else None)
-    finally:
-        engine.close()
+    if shards is not None:
+        sink = ShardedCordialEngine(
+            cordial, n_shards=shards, n_jobs=jobs,
+            spares_per_bank=spares_per_bank, max_skew=max_skew,
+            obs_dir=obs_dir, obs_provenance=provenance,
+            obs_attributions=audit_attributions, supervisor=supervisor)
+    else:
+        metrics = MetricsRegistry()
+        if obs_dir is not None:
+            obs = Observability.create(obs_dir, metrics=metrics,
+                                       provenance=provenance,
+                                       attributions=audit_attributions)
+        sink = CordialService(cordial, spares_per_bank=spares_per_bank,
+                              max_skew=max_skew, metrics=metrics, obs=obs)
+
+    probe = TimingProbe(obs)
+    sink, outcome = serve(sink, stream, checkpoint_path=checkpoint_path,
+                          kill_points=[checkpoint_at] if checkpoint_path
+                          else ())
     timing = probe.finish(len(stream))
 
     report = build_report(outcome.service, outcome.decisions, truth,
                           config=config, timing=timing)
+    # A fleet's metrics block is the merged counters document (gauges
+    # and histograms are per-shard wall-clock series), which makes the
+    # report byte-comparable across shard counts modulo timing.
     report["metrics"] = outcome.metrics
-    if engine.supervisor_metrics is not None:
+    if supervisor is not None:
         # Coordinator-side supervision counters live outside the merged
         # registry so the merged metrics stay byte-identical under
         # faults; the report carries them as their own block.
-        report["supervision"] = engine.supervisor_metrics.as_dict()
-    if outcome.obs is not None:
+        report["supervision"] = sink.supervisor_metrics.as_dict()
+    if obs is not None:
+        artifacts = obs.export(obs_dir, metrics=outcome.service.metrics)
+        report["obs"] = {"artifacts": artifacts, "summary": obs.summary()}
+    elif outcome.obs is not None:
         report["obs"] = outcome.obs
     return report

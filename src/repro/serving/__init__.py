@@ -9,7 +9,9 @@ stats, metrics, and state back into single-service form
 (:mod:`~repro.serving.merge`), with re-shardable fleet checkpoints
 (:mod:`~repro.serving.checkpoint`).  The whole fleet is bit-identical to
 one big service for any ``(n_shards, n_jobs)`` — both are pure
-wall-clock knobs (``tests/test_sharded_serving.py``).
+wall-clock knobs (``tests/test_sharded_serving.py``).  One loop,
+:func:`~repro.serving.stream.serve`, streams records through either a
+fleet or a single service.
 """
 
 from repro.serving.checkpoint import (FLEET_CHECKPOINT_FORMAT,
@@ -17,8 +19,8 @@ from repro.serving.checkpoint import (FLEET_CHECKPOINT_FORMAT,
                                       load_fleet_checkpoint,
                                       load_fleet_manifest,
                                       save_fleet_checkpoint, shard_file_name)
-from repro.serving.engine import (BATCH_SIZE, FleetOutcome,
-                                  ShardedCordialEngine, serve_stream_sharded)
+from repro.serving.stream import serve
+from repro.serving.engine import BATCH_SIZE, ShardedCordialEngine
 from repro.serving.merge import (merge_decisions, merge_metrics,
                                  merge_service_states, merge_stats,
                                  split_service_state)
@@ -34,11 +36,11 @@ __all__ = [
     "BATCH_SIZE", "DEFAULT_BATCH_TIMEOUT", "FAILURE_CRASH", "FAILURE_HANG",
     "FAILURE_KINDS", "FAILURE_PROTOCOL", "FAULT_MODES",
     "FLEET_CHECKPOINT_FORMAT", "FLEET_CHECKPOINT_VERSION",
-    "FleetOutcome", "FleetRouter", "MANIFEST_FILE", "ShardFailureError",
+    "FleetRouter", "MANIFEST_FILE", "ShardFailureError",
     "ShardHost", "ShardSupervisor", "ShardedCordialEngine",
     "SupervisorConfig", "backoff_delay", "load_fleet_checkpoint",
     "load_fleet_manifest", "merge_decisions", "merge_metrics",
     "merge_service_states", "merge_stats", "save_fleet_checkpoint",
-    "serve_stream_sharded", "shard_file_name", "shard_of_bank",
+    "serve", "shard_file_name", "shard_of_bank",
     "split_service_state",
 ]

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.online import CordialService, Decision
+from repro.core.online import CordialService, Decision, ServeOutcome
 from repro.core.pipeline import Cordial
 from repro.ml.parallel import resolve_n_jobs
 from repro.serving.checkpoint import (load_fleet_checkpoint,
@@ -44,7 +43,7 @@ from repro.serving.supervisor import (DEFAULT_BATCH_TIMEOUT, FAILURE_CRASH,
                                       ShardFailureError, ShardSupervisor,
                                       SupervisorConfig)
 from repro.serving.workers import ShardHost, worker_main
-from repro.telemetry.collector import REASON_POISON
+from repro.telemetry.collector import REASON_POISON, DeadLetter
 from repro.telemetry.events import ErrorRecord
 from repro.telemetry.metrics import EXPORT_VERSION, MetricsRegistry
 
@@ -52,27 +51,19 @@ from repro.telemetry.metrics import EXPORT_VERSION, MetricsRegistry
 BATCH_SIZE = 256
 
 
-@dataclass
-class FleetOutcome:
-    """What a finished fleet run hands back to the caller.
+def load_merged_checkpoint(directory: str):
+    """``(manifest, pipeline, merged service state)`` of a fleet checkpoint.
 
-    Attributes:
-        decisions: the globally ordered decision stream.
-        service: a real ``CordialService`` holding the merged fleet
-            state — reports, coverage queries, and checkpoints work on
-            it exactly as on a single-service run.
-        stats: the merged :class:`ServiceStats` document.
-        metrics: the merged counters export document (gauges/histograms
-            dropped — they have no shard-count-invariant meaning).
-        obs: per-shard observability blocks plus fleet roll-up, when the
-            engine ran observed.
+    The shard states union into the one state a single service would
+    hold, whatever topology the fleet was saved at.
     """
-
-    decisions: List[Decision]
-    service: CordialService
-    stats: dict
-    metrics: dict
-    obs: Optional[dict] = field(default=None)
+    manifest, services = load_fleet_checkpoint(directory)
+    merged_state = merge_service_states(
+        [service.state_dict() for service in services],
+        manifest["router"], manifest["stats"],
+        {"version": EXPORT_VERSION,
+         "counters": dict(manifest["counters"]), "gauges": {}})
+    return manifest, services[0].cordial, merged_state
 
 
 class _LocalWorker:
@@ -420,7 +411,8 @@ class ShardedCordialEngine:
             timestamp = float(record.timestamp)
         except Exception:  # noqa: BLE001 - poison by definition misbehaves
             pass
-        self.router.quarantine(REASON_POISON, detail, timestamp=timestamp)
+        self.router.ledger.add(DeadLetter(REASON_POISON, detail,
+                                          timestamp=timestamp))
 
     # -- streaming -----------------------------------------------------------
     def submit(self, record: ErrorRecord) -> None:
@@ -466,8 +458,8 @@ class ShardedCordialEngine:
         """Snapshot the fleet into a checkpoint directory (mid-stream).
 
         Returns the manifest path.  Decision segments drained at the
-        snapshot stay with the engine and are merged at :meth:`finish`
-        (or handed over via :meth:`drain_segments` on a restart).
+        snapshot stay with the engine (and pass to its
+        :meth:`restore_successor`) until :meth:`finish` merges them.
         """
         self._dispatch_all()
         shard_documents: List[Optional[dict]] = [None] * self.n_shards
@@ -480,19 +472,23 @@ class ShardedCordialEngine:
             for shard_id, entry in sorted(payload.items()):
                 shard_documents[shard_id] = entry["document"]
                 self._segments.append(entry["decisions"])
-        shard_states = [document["state"] for document in shard_documents]
-        stats = merge_stats([state["stats"] for state in shard_states],
-                            self._events_submitted,
-                            carried=self._carried_stats)
-        counters = merge_metrics(
-            [state["metrics"] for state in shard_states],
-            self.router.dead_letter_counts, stats["events_ingested"],
-            carried_counters=self._carried_counters)
+        stats, counters = self._merge_totals(
+            [document["state"] for document in shard_documents])
         config = {"spares_per_bank": self.spares_per_bank,
                   "max_skew": self.max_skew}
         return save_fleet_checkpoint(directory, shard_documents,
                                      self.router.state_dict(), stats,
                                      counters["counters"], config)
+
+    def _merge_totals(self, shard_states: List[dict]):
+        """Fleet stats and counters: carried totals plus every shard's."""
+        stats = merge_stats([state["stats"] for state in shard_states],
+                            self._events_submitted,
+                            carried=self._carried_stats)
+        return stats, merge_metrics(
+            [state["metrics"] for state in shard_states],
+            self.router.dead_letter_counts, stats["events_ingested"],
+            carried_counters=self._carried_counters)
 
     def drain_segments(self) -> List[List[Decision]]:
         """Take ownership of the decision segments drained so far."""
@@ -517,16 +513,11 @@ class ShardedCordialEngine:
         a fleet saved at 4 shards restores onto 2 (or 8) with
         bit-identical downstream behaviour.
         """
-        manifest, services = load_fleet_checkpoint(directory)
+        manifest, cordial, merged_state = load_merged_checkpoint(directory)
         if n_shards is None:
             n_shards = int(manifest["n_shards"])
-        merged_state = merge_service_states(
-            [service.state_dict() for service in services],
-            manifest["router"], manifest["stats"],
-            {"version": EXPORT_VERSION,
-             "counters": dict(manifest["counters"]), "gauges": {}})
         config = manifest["config"]
-        engine = cls(services[0].cordial, n_shards, n_jobs=n_jobs,
+        engine = cls(cordial, n_shards, n_jobs=n_jobs,
                      spares_per_bank=int(config["spares_per_bank"]),
                      max_skew=float(config["max_skew"]), obs_dir=obs_dir,
                      obs_provenance=obs_provenance,
@@ -550,20 +541,23 @@ class ShardedCordialEngine:
         """The restarted engine that resumes from ``directory``.
 
         Carries this engine's topology and observability configuration
-        forward (the successor journals under the next epoch directory).
-        Close this engine first; its undrained segments should be taken
-        with :meth:`drain_segments` before the handoff.
+        forward (the successor journals under the next epoch directory)
+        and takes over its undrained decision segments, so the
+        successor's :meth:`finish` merges the whole run.  Close this
+        engine first.
         """
-        return ShardedCordialEngine.restore(
+        successor = ShardedCordialEngine.restore(
             directory, n_shards=self.n_shards, n_jobs=self.n_jobs,
             obs_dir=self.obs_dir, obs_provenance=self.obs_provenance,
             obs_attributions=self.obs_attributions,
             batch_size=self._batch_size, epoch=self.epoch + 1,
             supervisor=self.supervisor_config,
             batch_timeout=self._batch_timeout)
+        successor._segments = self.drain_segments()
+        return successor
 
     # -- completion ----------------------------------------------------------
-    def finish(self) -> FleetOutcome:
+    def finish(self) -> ServeOutcome:
         """Flush every shard, merge, and return the fleet outcome."""
         self._dispatch_all()
         shard_states: List[Optional[dict]] = [None] * self.n_shards
@@ -581,13 +575,7 @@ class ShardedCordialEngine:
                     obs_blocks[f"shard-{shard_id:02d}"] = entry["obs"]
         decisions = merge_decisions(self._segments)
         self._segments = []
-        stats = merge_stats([state["stats"] for state in shard_states],
-                            self._events_submitted,
-                            carried=self._carried_stats)
-        metrics = merge_metrics(
-            [state["metrics"] for state in shard_states],
-            self.router.dead_letter_counts, stats["events_ingested"],
-            carried_counters=self._carried_counters)
+        stats, metrics = self._merge_totals(shard_states)
         merged_state = merge_service_states(shard_states,
                                             self.router.state_dict(),
                                             stats, metrics)
@@ -615,7 +603,7 @@ class ShardedCordialEngine:
             obs = obs or {}
             obs["supervisor"] = {"artifacts": artifacts,
                                  "summary": self._sup_obs.summary()}
-        return FleetOutcome(decisions=decisions, service=service,
+        return ServeOutcome(decisions=decisions, service=service,
                             stats=stats, metrics=metrics, obs=obs)
 
     def close(self) -> None:
@@ -627,47 +615,3 @@ class ShardedCordialEngine:
             return
         for worker in self._workers:
             worker.close()
-
-    def __enter__(self) -> "ShardedCordialEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def serve_stream_sharded(engine: ShardedCordialEngine,
-                         records: Sequence[ErrorRecord],
-                         checkpoint_dir: Optional[str] = None,
-                         checkpoint_at: Optional[int] = None):
-    """Feed ``records`` through a fleet engine (submit + finish).
-
-    When ``checkpoint_dir`` and ``checkpoint_at`` are given, the fleet
-    is snapshotted after ``checkpoint_at`` events, the engine is torn
-    down, and a *restored* engine serves the remainder — the sharded
-    crash/restart path, mirroring ``serve_stream``.  Raises
-    ``ValueError`` when ``checkpoint_at`` lies outside the stream (a
-    checkpoint that silently never fires is a misconfiguration, not a
-    run).
-
-    Returns ``(engine, outcome)`` — the engine actually finishing the
-    stream, and a :class:`FleetOutcome` whose ``decisions`` span the
-    whole run (pre- and post-restart segments globally merged).
-    """
-    if checkpoint_dir is not None and checkpoint_at is not None:
-        if not 1 <= checkpoint_at <= len(records):
-            raise ValueError(
-                f"checkpoint_at={checkpoint_at} outside the stream "
-                f"(1..{len(records)}); the checkpoint would never fire")
-    early_segments: List[List[Decision]] = []
-    for index, record in enumerate(records):
-        engine.submit(record)
-        if checkpoint_dir is not None and checkpoint_at == index + 1:
-            engine.checkpoint(checkpoint_dir)
-            early_segments.extend(engine.drain_segments())
-            engine.close()
-            engine = engine.restore_successor(checkpoint_dir)
-    outcome = engine.finish()
-    if early_segments:
-        outcome.decisions = merge_decisions(
-            early_segments + [outcome.decisions])
-    return engine, outcome

@@ -14,11 +14,10 @@ Two design rules keep the fleet bit-identical to one big service:
   canonical bank-key rendering, never Python's seed-randomised ``hash``,
   so the bank→shard map is a pure function of ``(bank_key, n_shards)``
   across processes, restarts, and machines;
-* **coordinator-owned quarantine** — the router performs the collector's
-  ingest checks (malformed / non-finite / late) against the *global*
-  watermark before routing, reproducing
-  :meth:`~repro.telemetry.collector.BMCCollector.ingest` byte for byte
-  (same check order, same reason constants, same detail strings).  Shard
+* **coordinator-owned quarantine** — the router runs the collector's
+  admission kernel (:func:`~repro.telemetry.collector.admit`) against
+  the *global* watermark before routing, so its dead letters carry the
+  reasons and detail strings a single collector's would.  Shard
   collectors then never quarantine: their local watermark only ever
   trails the global one, so a record the router accepted can never be
   late on its shard.  The fleet's dead-letter ledger lives here, in one
@@ -28,11 +27,9 @@ Two design rules keep the fleet bit-identical to one big service:
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Dict, List, Optional
 
-from repro.telemetry.collector import (REASON_LATE, REASON_MALFORMED,
-                                       DeadLetter)
+from repro.telemetry.collector import DeadLetter, DeadLetterLedger, admit
 from repro.telemetry.events import ErrorRecord
 
 
@@ -68,50 +65,29 @@ class FleetRouter:
             raise ValueError("max_skew must be >= 0")
         self.n_shards = n_shards
         self.max_skew = max_skew
-        self.max_dead_letters = max_dead_letters
+        self.ledger = DeadLetterLedger(max_dead_letters)
         self._max_timestamp = float("-inf")
-        self.dead_letters: List[DeadLetter] = []
-        self.dead_letter_counts: Dict[str, int] = {}
 
     @property
     def watermark(self) -> float:
         """Events with timestamps below this are late (dead-lettered)."""
         return self._max_timestamp - self.max_skew
 
-    def quarantine(self, reason: str, detail: str,
-                   timestamp: Optional[float] = None,
-                   record: Optional[ErrorRecord] = None) -> None:
-        """Record one dead-lettered input (bounded list, exact counts)."""
-        self.dead_letter_counts[reason] = (
-            self.dead_letter_counts.get(reason, 0) + 1)
-        if len(self.dead_letters) < self.max_dead_letters:
-            self.dead_letters.append(DeadLetter(
-                reason=reason, detail=detail, timestamp=timestamp,
-                record=record))
+    @property
+    def dead_letters(self) -> List[DeadLetter]:
+        """The kept quarantined inputs (bounded evidence window)."""
+        return self.ledger.dead_letters
+
+    @property
+    def dead_letter_counts(self) -> Dict[str, int]:
+        """Exact count of quarantined inputs per reason."""
+        return self.ledger.counts
 
     def route(self, record: ErrorRecord) -> Optional[int]:
-        """Shard id for ``record``, or ``None`` when it was quarantined.
-
-        The checks run in the exact order of ``BMCCollector.ingest`` and
-        produce the exact detail strings, so the fleet's dead-letter
-        ledger is byte-identical to a single service's.
-        """
-        if not isinstance(record, ErrorRecord):
-            self.quarantine(REASON_MALFORMED,
-                            f"not an ErrorRecord: {type(record).__name__}")
-            return None
-        if not math.isfinite(record.timestamp):
-            self.quarantine(
-                REASON_MALFORMED,
-                f"non-finite timestamp: {record.timestamp} "
-                f"(sequence {record.sequence})")
-            return None
-        if record.timestamp < self.watermark:
-            self.quarantine(
-                REASON_LATE,
-                f"timestamp {record.timestamp} behind watermark "
-                f"{self.watermark}",
-                timestamp=record.timestamp, record=record)
+        """Shard id for ``record``, or ``None`` when it was quarantined."""
+        letter = admit(record, self.watermark)
+        if letter is not None:
+            self.ledger.add(letter)
             return None
         if record.timestamp > self._max_timestamp:
             self._max_timestamp = record.timestamp
@@ -125,39 +101,20 @@ class FleetRouter:
         checkpoint restores onto any shard count by re-routing bank
         state, and the ledger/watermark are shard-count-invariant.
         """
-        from repro.telemetry.mcelog import record_to_obj
-
         return {
             "max_skew": self.max_skew,
-            "max_dead_letters": self.max_dead_letters,
+            "max_dead_letters": self.ledger.max_dead_letters,
             "max_timestamp": (None if self._max_timestamp == float("-inf")
                               else self._max_timestamp),
-            "dead_letters": [
-                {"reason": d.reason, "detail": d.detail,
-                 "timestamp": d.timestamp,
-                 "record": (None if d.record is None
-                            else record_to_obj(d.record))}
-                for d in self.dead_letters
-            ],
-            "dead_letter_counts": {k: self.dead_letter_counts[k]
-                                   for k in sorted(self.dead_letter_counts)},
+            **self.ledger.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> "FleetRouter":
         """Restore state captured by :meth:`state_dict`."""
-        from repro.telemetry.mcelog import record_from_obj
-
         self.max_skew = float(state["max_skew"])
-        self.max_dead_letters = int(state["max_dead_letters"])
         self._max_timestamp = (float("-inf")
                                if state["max_timestamp"] is None
                                else float(state["max_timestamp"]))
-        self.dead_letters = [
-            DeadLetter(reason=d["reason"], detail=d["detail"],
-                       timestamp=d["timestamp"],
-                       record=(None if d["record"] is None
-                               else record_from_obj(d["record"])))
-            for d in state["dead_letters"]
-        ]
-        self.dead_letter_counts = dict(state["dead_letter_counts"])
+        self.ledger = DeadLetterLedger(
+            int(state["max_dead_letters"])).load_state_dict(state)
         return self

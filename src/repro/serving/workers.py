@@ -19,9 +19,9 @@ pure producer→consumer backpressure and can never deadlock.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.core.online import CordialService, Decision
+from repro.core.online import CordialService
 from repro.core.pipeline import Cordial
 from repro.obs import Observability
 from repro.telemetry.events import ErrorRecord
@@ -53,11 +53,9 @@ class ShardHost:
         self.config = dict(config)
         self.obs_spec = obs_spec
         self.services: Dict[int, CordialService] = {}
-        self.decisions: Dict[int, List[Decision]] = {}
         self._obs_dirs: Dict[int, str] = {}
         for shard_id in shard_ids:
             self.services[shard_id] = self._create_service(shard_id)
-            self.decisions[shard_id] = []
 
     def _create_service(self, shard_id: int) -> CordialService:
         metrics = MetricsRegistry()
@@ -89,9 +87,8 @@ class ShardHost:
     def batch(self, shard_id: int, records: Sequence[ErrorRecord]) -> None:
         """Ingest one routed batch; decisions buffer until a sync point."""
         service = self.services[shard_id]
-        buffered = self.decisions[shard_id]
         for record in records:
-            buffered.extend(service.ingest(record))
+            service.submit(record)
 
     def checkpoint(self) -> Dict[int, dict]:
         """Snapshot every shard; drains each shard's decision segment.
@@ -107,9 +104,10 @@ class ShardHost:
             if service.obs is not None:
                 service.obs.journal.checkpoint(
                     "save", at_event=service.stats.events_ingested)
+            [segment] = service.drain_segments()
             out[shard_id] = {
                 "document": service_to_document(service),
-                "decisions": self._drain(shard_id),
+                "decisions": segment,
             }
         return out
 
@@ -123,9 +121,11 @@ class ShardHost:
         """
         out: Dict[int, dict] = {}
         for shard_id in sorted(self.services):
+            service = self.services[shard_id]
+            [segment] = service.drain_segments()
             out[shard_id] = {
-                "state": self.services[shard_id].state_dict(),
-                "decisions": self._drain(shard_id),
+                "state": service.state_dict(),
+                "decisions": segment,
             }
         return out
 
@@ -134,9 +134,8 @@ class ShardHost:
         out: Dict[int, dict] = {}
         for shard_id in sorted(self.services):
             service = self.services[shard_id]
-            self.decisions[shard_id].extend(service.flush())
             entry = {
-                "decisions": self._drain(shard_id),
+                "decisions": service.finish().decisions,
                 "state": service.state_dict(),
             }
             if service.obs is not None:
@@ -146,11 +145,6 @@ class ShardHost:
                                 "summary": service.obs.summary()}
             out[shard_id] = entry
         return out
-
-    def _drain(self, shard_id: int) -> List[Decision]:
-        segment = self.decisions[shard_id]
-        self.decisions[shard_id] = []
-        return segment
 
 
 def worker_main(conn) -> None:

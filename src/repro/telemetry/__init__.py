@@ -15,9 +15,6 @@ from repro.telemetry.store import ErrorStore
 from repro.telemetry.collector import BMCCollector, BankTrigger, DeadLetter
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricsRegistry)
-from repro.telemetry.aggregator import (Alarm, AlarmRule,
-                                        SlidingWindowAggregator,
-                                        default_rules)
 from repro.telemetry.dedup import (CompactionStats, StreamCompactor,
                                    compact_records)
 
@@ -37,10 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Alarm",
-    "AlarmRule",
-    "SlidingWindowAggregator",
-    "default_rules",
     "CompactionStats",
     "StreamCompactor",
     "compact_records",

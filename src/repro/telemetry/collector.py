@@ -95,6 +95,89 @@ class DeadLetter:
     record: Optional[ErrorRecord] = None
 
 
+def admit(record, watermark: float) -> Optional[DeadLetter]:
+    """The admission kernel: the dead letter ``record`` earns, or ``None``.
+
+    One policy for every ingest point: :meth:`BMCCollector.ingest`
+    checks against its own watermark, the fleet router
+    (:mod:`repro.serving.router`) against the fleet-global one, so both
+    quarantine with the same reasons and detail strings.  The checks run
+    in a fixed order — not a record, non-finite timestamp, behind the
+    watermark — and the accept path allocates nothing.
+    """
+    if not isinstance(record, ErrorRecord):
+        return DeadLetter(REASON_MALFORMED,
+                          f"not an ErrorRecord: {type(record).__name__}")
+    if not math.isfinite(record.timestamp):
+        # A NaN timestamp must never reach the reorder heap: NaN
+        # compares false against everything, so one poisoned head
+        # entry would silently block _drain from ever releasing
+        # again — the exact conservation leak the chaos corruption
+        # operator hunts for.  Quarantine it, counted exactly once.
+        # The record itself stays out of the evidence list: a
+        # non-finite timestamp cannot round-trip the checkpoint's
+        # strict record codec.
+        return DeadLetter(REASON_MALFORMED,
+                          f"non-finite timestamp: {record.timestamp} "
+                          f"(sequence {record.sequence})")
+    if record.timestamp < watermark:
+        return DeadLetter(REASON_LATE,
+                          f"timestamp {record.timestamp} behind watermark "
+                          f"{watermark}",
+                          timestamp=record.timestamp, record=record)
+    return None
+
+
+class DeadLetterLedger:
+    """Quarantined inputs: a bounded evidence list with exact counts.
+
+    Args:
+        max_dead_letters: how many dead letters to *keep*; the
+            per-reason counts are always exact.
+    """
+
+    def __init__(self, max_dead_letters: int = 1_000) -> None:
+        self.max_dead_letters = max_dead_letters
+        self.dead_letters: List[DeadLetter] = []
+        self.counts: Dict[str, int] = {}
+
+    def add(self, letter: DeadLetter) -> None:
+        """Count one dead letter; keep it while the list has room."""
+        self.counts[letter.reason] = self.counts.get(letter.reason, 0) + 1
+        if len(self.dead_letters) < self.max_dead_letters:
+            self.dead_letters.append(letter)
+
+    def state_dict(self) -> dict:
+        """JSON-ready ledger entries (deterministic layout)."""
+        from repro.telemetry.mcelog import record_to_obj
+
+        return {
+            "dead_letters": [
+                {"reason": d.reason, "detail": d.detail,
+                 "timestamp": d.timestamp,
+                 "record": (None if d.record is None
+                            else record_to_obj(d.record))}
+                for d in self.dead_letters
+            ],
+            "dead_letter_counts": {k: self.counts[k]
+                                   for k in sorted(self.counts)},
+        }
+
+    def load_state_dict(self, state: dict) -> "DeadLetterLedger":
+        """Restore the entries captured by :meth:`state_dict`."""
+        from repro.telemetry.mcelog import record_from_obj
+
+        self.dead_letters = [
+            DeadLetter(reason=d["reason"], detail=d["detail"],
+                       timestamp=d["timestamp"],
+                       record=(None if d["record"] is None
+                               else record_from_obj(d["record"])))
+            for d in state["dead_letters"]
+        ]
+        self.counts = dict(state["dead_letter_counts"])
+        return self
+
+
 @dataclass
 class _BankBuffer:
     events: List[ErrorRecord] = field(default_factory=list)
@@ -147,15 +230,13 @@ class BMCCollector:
         self.trigger_uer_rows = trigger_uer_rows
         self.max_skew = max_skew
         self.max_pending = max_pending
-        self.max_dead_letters = max_dead_letters
+        self.ledger = DeadLetterLedger(max_dead_letters)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.obs = obs
         self._banks: Dict[tuple, _BankBuffer] = {}
         # Reorder buffer: heap of (timestamp, sequence, record).
         self._pending: List[Tuple[float, int, ErrorRecord]] = []
         self._max_timestamp = float("-inf")
-        self.dead_letters: List[DeadLetter] = []
-        self.dead_letter_counts: Dict[str, int] = {}
 
     # -- ingestion -----------------------------------------------------------
     @property
@@ -168,6 +249,16 @@ class BMCCollector:
         """Events currently held in the reorder buffer."""
         return len(self._pending)
 
+    @property
+    def dead_letters(self) -> List[DeadLetter]:
+        """The kept quarantined inputs (bounded evidence window)."""
+        return self.ledger.dead_letters
+
+    @property
+    def dead_letter_counts(self) -> Dict[str, int]:
+        """Exact count of quarantined inputs per reason."""
+        return self.ledger.counts
+
     def quarantine(self, reason: str, detail: str,
                    timestamp: Optional[float] = None,
                    record: Optional[ErrorRecord] = None) -> None:
@@ -176,17 +267,17 @@ class BMCCollector:
         Exposed so upstream parsers (e.g. a lenient MCE-log reader) can
         route their failures into the same quarantine.
         """
-        self.dead_letter_counts[reason] = (
-            self.dead_letter_counts.get(reason, 0) + 1)
-        if len(self.dead_letters) < self.max_dead_letters:
-            self.dead_letters.append(DeadLetter(
-                reason=reason, detail=detail, timestamp=timestamp,
-                record=record))
+        self._reject(DeadLetter(reason=reason, detail=detail,
+                                timestamp=timestamp, record=record))
+
+    def _reject(self, letter: DeadLetter) -> None:
+        self.ledger.add(letter)
         self.metrics.counter("collector.dead_letters",
-                             labels={"reason": reason}).inc()
+                             labels={"reason": letter.reason}).inc()
         if self.obs is not None:
+            timestamp = letter.timestamp
             self.obs.journal.quarantine(
-                reason, detail,
+                letter.reason, letter.detail,
                 timestamp=(timestamp
                            if timestamp is not None
                            and math.isfinite(timestamp) else None))
@@ -194,30 +285,9 @@ class BMCCollector:
     def ingest(self, record: ErrorRecord) -> List[ReleasedEvent]:
         """Feed one event; returns the events it released, in order."""
         self.metrics.counter("collector.events_ingested").inc()
-        if not isinstance(record, ErrorRecord):
-            self.quarantine(REASON_MALFORMED,
-                            f"not an ErrorRecord: {type(record).__name__}")
-            return []
-        if not math.isfinite(record.timestamp):
-            # A NaN timestamp must never reach the reorder heap: NaN
-            # compares false against everything, so one poisoned head
-            # entry would silently block _drain from ever releasing
-            # again — the exact conservation leak the chaos corruption
-            # operator hunts for.  Quarantine it, counted exactly once.
-            # The record itself stays out of the evidence list: a
-            # non-finite timestamp cannot round-trip the checkpoint's
-            # strict record codec.
-            self.quarantine(
-                REASON_MALFORMED,
-                f"non-finite timestamp: {record.timestamp} "
-                f"(sequence {record.sequence})")
-            return []
-        if record.timestamp < self.watermark:
-            self.quarantine(
-                REASON_LATE,
-                f"timestamp {record.timestamp} behind watermark "
-                f"{self.watermark}",
-                timestamp=record.timestamp, record=record)
+        letter = admit(record, self.watermark)
+        if letter is not None:
+            self._reject(letter)
             return []
         heapq.heappush(self._pending,
                        (record.timestamp, record.sequence, record))
@@ -306,7 +376,7 @@ class BMCCollector:
             "trigger_uer_rows": self.trigger_uer_rows,
             "max_skew": self.max_skew,
             "max_pending": self.max_pending,
-            "max_dead_letters": self.max_dead_letters,
+            "max_dead_letters": self.ledger.max_dead_letters,
             "max_timestamp": (None if self._max_timestamp == float("-inf")
                               else self._max_timestamp),
             "banks": [
@@ -319,15 +389,7 @@ class BMCCollector:
             ],
             "pending": [record_to_obj(r)
                         for _, _, r in sorted(self._pending)],
-            "dead_letters": [
-                {"reason": d.reason, "detail": d.detail,
-                 "timestamp": d.timestamp,
-                 "record": (None if d.record is None
-                            else record_to_obj(d.record))}
-                for d in self.dead_letters
-            ],
-            "dead_letter_counts": {k: self.dead_letter_counts[k]
-                                   for k in sorted(self.dead_letter_counts)},
+            **self.ledger.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> "BMCCollector":
@@ -337,7 +399,6 @@ class BMCCollector:
         self.trigger_uer_rows = int(state["trigger_uer_rows"])
         self.max_skew = float(state["max_skew"])
         self.max_pending = int(state["max_pending"])
-        self.max_dead_letters = int(state["max_dead_letters"])
         self._max_timestamp = (float("-inf")
                                if state["max_timestamp"] is None
                                else float(state["max_timestamp"]))
@@ -354,12 +415,6 @@ class BMCCollector:
                          for r in (record_from_obj(o)
                                    for o in state["pending"])]
         heapq.heapify(self._pending)
-        self.dead_letters = [
-            DeadLetter(reason=d["reason"], detail=d["detail"],
-                       timestamp=d["timestamp"],
-                       record=(None if d["record"] is None
-                               else record_from_obj(d["record"])))
-            for d in state["dead_letters"]
-        ]
-        self.dead_letter_counts = dict(state["dead_letter_counts"])
+        self.ledger = DeadLetterLedger(
+            int(state["max_dead_letters"])).load_state_dict(state)
         return self

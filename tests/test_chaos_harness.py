@@ -22,14 +22,14 @@ import pytest
 
 from repro.chaos import (CampaignConfig, ChaosPlan, InvariantOracle,
                          OPERATORS, OperatorSpec, apply_operator,
-                         default_plan, is_error_record, serve_with_faults)
+                         KillHook, default_plan, is_error_record)
 from repro.chaos.campaign import decisions_digest, run_campaign
 from repro.chaos.operators import (op_burst, op_clock_jitter, op_corrupt,
                                    op_drop, op_duplicate, op_reorder)
 from repro.chaos.oracle import CleanBaseline
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 from repro.hbm.address import DeviceAddress
 from repro.telemetry.events import ErrorRecord, ErrorType
 
@@ -188,8 +188,11 @@ class TestOracleCatchesInjectedViolations:
     @pytest.fixture()
     def outcome(self, cordial, test_stream, tmp_path):
         service = CordialService(cordial, max_skew=3600.0)
-        return serve_with_faults(service, test_stream[:60], [30],
-                                 str(tmp_path / "sab.ckpt"), rng(0))
+        hook = KillHook(rng(0))
+        _, served = serve(service, test_stream[:60], kill_points=[30],
+                          checkpoint_path=str(tmp_path / "sab.ckpt"),
+                          on_kill=hook)
+        return hook.outcome(served)
 
     def test_clean_outcome_is_healthy(self, outcome, truth, tmp_path):
         oracle = InvariantOracle(default_plan())
@@ -372,7 +375,7 @@ class TestCorruptStreamServing:
 
     def test_decision_digest_is_stable(self, cordial, test_stream):
         service = CordialService(cordial, max_skew=3600.0)
-        _, decisions = serve_stream(service, test_stream[:80])
+        decisions = serve(service, test_stream[:80])[1].decisions
         service2 = CordialService(cordial, max_skew=3600.0)
-        _, decisions2 = serve_stream(service2, test_stream[:80])
+        decisions2 = serve(service2, test_stream[:80])[1].decisions
         assert decisions_digest(decisions) == decisions_digest(decisions2)

@@ -17,15 +17,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.chaos.faults import (TAMPER_MODES, serve_with_faults,
-                                tamper_checkpoint)
+from repro.chaos.faults import TAMPER_MODES, KillHook, tamper_checkpoint
 from repro.core.online import CordialService
 from repro.core.persistence import (CheckpointCorruptionError,
                                     ModelPersistenceError,
                                     load_service_checkpoint, save_cordial,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 
 
 def rng(seed=0):
@@ -65,12 +64,14 @@ class TestKillRestoreEquivalence:
                                           tmp_path, every_k):
         stream = test_stream[:180]
         baseline = CordialService(cordial, max_skew=3600.0)
-        _, expect = serve_stream(baseline, stream)
+        expect = serve(baseline, stream)[1].decisions
 
         kill_points = list(range(every_k, len(stream) + 1, every_k))
-        outcome = serve_with_faults(
+        hook = KillHook(rng(0))
+        _, served = serve(
             CordialService(cordial, max_skew=3600.0), stream, kill_points,
-            str(tmp_path / "kr.ckpt"), rng(0))
+            str(tmp_path / "kr.ckpt"), on_kill=hook)
+        outcome = hook.outcome(served)
 
         assert outcome.restore_count == len(kill_points)
         assert decisions_json(outcome.decisions) == decisions_json(expect)
@@ -84,11 +85,13 @@ class TestKillRestoreEquivalence:
         # The brutal end of the spectrum: restart after *every* event.
         stream = test_stream[:40]
         baseline = CordialService(cordial, max_skew=3600.0)
-        _, expect = serve_stream(baseline, stream)
-        outcome = serve_with_faults(
+        expect = serve(baseline, stream)[1].decisions
+        hook = KillHook(rng(0))
+        _, served = serve(
             CordialService(cordial, max_skew=3600.0), stream,
             list(range(1, len(stream) + 1)), str(tmp_path / "kr.ckpt"),
-            rng(0))
+            on_kill=hook)
+        outcome = hook.outcome(served)
         assert outcome.restore_count == len(stream)
         assert decisions_json(outcome.decisions) == decisions_json(expect)
 
@@ -97,7 +100,7 @@ class TestTamperedCheckpointsAreRejected:
     @pytest.fixture()
     def checkpoint(self, cordial, test_stream, tmp_path):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:80])
+        serve(service, test_stream[:80])
         path = str(tmp_path / "good.ckpt")
         save_service_checkpoint(service, path)
         return path
@@ -146,7 +149,7 @@ class TestFailedRestoreIsTransactional:
     def test_live_service_untouched_by_corrupt_state(self, cordial,
                                                      test_stream):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:80])
+        serve(service, test_stream[:80])
         before = copy.deepcopy(service.state_dict())
 
         for sabotage in [
@@ -173,7 +176,7 @@ class TestFailedRestoreIsTransactional:
                                                           test_stream,
                                                           tmp_path):
         service = CordialService(cordial, max_skew=3600.0)
-        serve_stream(service, test_stream[:60])
+        serve(service, test_stream[:60])
         path = str(tmp_path / "ckpt.json")
         save_service_checkpoint(service, path)
         damaged = tamper_checkpoint(path, "truncate", rng(1))

@@ -18,7 +18,7 @@ from repro.core.features import (BankPatternFeaturizer, CrossRowFeaturizer,
 from repro.core.incremental import IncrementalFeatureState
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial, collect_snapshots, collect_triggers
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 from repro.telemetry.events import ErrorType
 
 
@@ -129,8 +129,8 @@ class TestServiceEquivalence:
 
         fast = CordialService(cordial, incremental_features=True)
         slow = CordialService(cordial, incremental_features=False)
-        _, got = serve_stream(fast, stream)
-        _, expect = serve_stream(slow, stream)
+        got = serve(fast, stream)[1].decisions
+        expect = serve(slow, stream)[1].decisions
 
         assert decisions_json(got) == decisions_json(expect)
         assert fast.coverage(truth) == slow.coverage(truth)

@@ -15,7 +15,7 @@ from repro.core.online import CordialService
 from repro.core.persistence import (load_service_checkpoint,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
-from repro.experiments.serve import serve_stream
+from repro.serving import serve
 from repro.obs import FakeClock, Observability
 
 
@@ -54,11 +54,11 @@ class TestDecisionEquivalence:
     def test_observed_run_matches_unobserved(self, cordial, test_stream,
                                              truth):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream)
+        expect = serve(plain, test_stream)[1].decisions
 
         obs = make_obs()
         observed = CordialService(cordial, obs=obs)
-        _, got = serve_stream(observed, test_stream)
+        got = serve(observed, test_stream)[1].decisions
 
         assert decisions_json(got) == decisions_json(expect)
         assert observed.coverage(truth) == plain.coverage(truth)
@@ -75,11 +75,11 @@ class TestDecisionEquivalence:
     def test_attributions_do_not_change_decisions(self, cordial,
                                                   test_stream):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream[:400])
+        expect = serve(plain, test_stream[:400])[1].decisions
 
         obs = make_obs(attributions=True)
         observed = CordialService(cordial, obs=obs)
-        _, got = serve_stream(observed, test_stream[:400])
+        got = serve(observed, test_stream[:400])[1].decisions
 
         assert decisions_json(got) == decisions_json(expect)
         attributed = [r for r in obs.audit.records
@@ -100,7 +100,7 @@ class TestAuditAgreement:
     def test_every_row_decision_is_audited(self, cordial, test_stream):
         obs = make_obs()
         service = CordialService(cordial, obs=obs)
-        _, decisions = serve_stream(service, test_stream)
+        decisions = serve(service, test_stream)[1].decisions
 
         audited = obs.audit.records
         assert len(audited) == len(decisions)
@@ -133,7 +133,7 @@ class TestAuditAgreement:
                                                 test_stream):
         obs = make_obs()
         service = CordialService(cordial, obs=obs)
-        serve_stream(service, test_stream)
+        serve(service, test_stream)
 
         counts = obs.journal.summary()["counts_by_type"]
         assert counts.get("trigger", 0) == service.stats.triggers_fired
@@ -167,14 +167,15 @@ class TestCheckpointV3:
     def test_midstream_restore_with_obs_matches_clean_run(
             self, cordial, test_stream, truth, tmp_path):
         plain = CordialService(cordial)
-        _, expect = serve_stream(plain, test_stream)
+        expect = serve(plain, test_stream)[1].decisions
 
         obs = make_obs()
         service = CordialService(cordial, obs=obs)
-        service, got = serve_stream(
+        service, outcome = serve(
             service, test_stream,
             checkpoint_path=str(tmp_path / "mid.ckpt.json"),
-            checkpoint_at=len(test_stream) // 2)
+            kill_points=[len(test_stream) // 2])
+        got = outcome.decisions
 
         assert decisions_json(got) == decisions_json(expect)
         assert service.coverage(truth) == plain.coverage(truth)

@@ -20,7 +20,8 @@ from repro.core.persistence import (load_service_checkpoint,
                                     save_service_checkpoint)
 from repro.core.pipeline import Cordial
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, build_report, serve_stream
+from repro.experiments.serve import bounded_shuffle, build_report
+from repro.serving import serve
 from repro.hbm.address import DeviceAddress
 from repro.telemetry.events import ErrorRecord, ErrorType
 
@@ -66,13 +67,13 @@ class TestReorderEquivalence:
         """(a): bounded disorder is invisible to the decision stream."""
         max_skew = 3600.0  # one stream-hour of tolerated disorder
         baseline = CordialService(cordial)
-        _, expect = serve_stream(baseline, test_stream)
+        expect = serve(baseline, test_stream)[1].decisions
 
         shuffled = bounded_shuffle(test_stream, max_skew, seed=5)
         assert [r.sequence for r in shuffled] != \
                [r.sequence for r in test_stream]  # shuffle actually shuffled
         service = CordialService(cordial, max_skew=max_skew)
-        _, got = serve_stream(service, shuffled)
+        got = serve(service, shuffled)[1].decisions
 
         assert decisions_json(got) == decisions_json(expect)
         assert service.collector.dead_letter_counts == {}
@@ -100,13 +101,13 @@ class TestCheckpointRestore:
                                       tmp_path):
         """(b): a restored service continues exactly where it left off."""
         baseline = CordialService(cordial, max_skew=120.0)
-        _, expect = serve_stream(baseline, test_stream)
+        expect = serve(baseline, test_stream)[1].decisions
 
         path = str(tmp_path / "service.ckpt.json")
         fresh = CordialService(cordial, max_skew=120.0)
-        restored, got = serve_stream(fresh, test_stream,
-                                     checkpoint_path=path,
-                                     checkpoint_at=len(test_stream) // 2)
+        restored, outcome = serve(fresh, test_stream, checkpoint_path=path,
+                                  kill_points=[len(test_stream) // 2])
+        got = outcome.decisions
         assert restored is not fresh  # the restart really happened
 
         assert decisions_json(got) == decisions_json(expect)
@@ -144,7 +145,7 @@ class TestCheckpointRestore:
         """A v1 document (no feature_state) restores and resumes exactly:
         the incremental state is rebuilt from the collector histories."""
         baseline = CordialService(cordial)
-        _, expect = serve_stream(baseline, test_stream)
+        expect = serve(baseline, test_stream)[1].decisions
 
         half = len(test_stream) // 2
         service = CordialService(cordial)
@@ -175,7 +176,8 @@ class TestServeReplayReport:
         _, test = bank_split
         service = CordialService(cordial,
                                  spares_per_bank=cordial.spares_per_bank)
-        service, decisions = serve_stream(service, test_stream)
+        _, outcome = serve(service, test_stream)
+        service, decisions = outcome.service, outcome.decisions
         report = build_report(service, decisions, truth)
 
         batch = cordial.evaluate(small_dataset, test)

@@ -40,13 +40,13 @@ from repro.chaos.plan import ChaosPlan, OperatorSpec
 from repro.core.online import CordialService
 from repro.core.pipeline import Cordial
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, serve_stream
+from repro.experiments.serve import bounded_shuffle
 from repro.hbm.address import DeviceAddress
 from repro.obs.promexport import render_prometheus
 from repro.serving import (FAILURE_CRASH, FAILURE_HANG, FAILURE_PROTOCOL,
                            ShardFailureError, ShardSupervisor,
                            ShardedCordialEngine, SupervisorConfig,
-                           backoff_delay, shard_of_bank)
+                           backoff_delay, serve, shard_of_bank)
 from repro.telemetry.collector import REASON_POISON
 from repro.telemetry.events import ErrorRecord, ErrorType
 from repro.telemetry.metrics import MetricsRegistry
@@ -94,7 +94,8 @@ def truth(small_dataset, bank_split):
 @pytest.fixture(scope="module")
 def baseline(cordial, test_stream):
     service = CordialService(cordial, max_skew=MAX_SKEW)
-    service, decisions = serve_stream(service, test_stream)
+    _, outcome = serve(service, test_stream)
+    service, decisions = outcome.service, outcome.decisions
     return service, decisions
 
 

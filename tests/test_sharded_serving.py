@@ -30,12 +30,11 @@ from repro.core.persistence import (CheckpointCorruptionError,
                                     ModelPersistenceError)
 from repro.core.pipeline import Cordial
 from repro.experiments import runner
-from repro.experiments.serve import bounded_shuffle, build_report, serve_stream
+from repro.experiments.serve import bounded_shuffle, build_report
 from repro.hbm.address import DeviceAddress
 from repro.serving import (FleetRouter, ShardedCordialEngine,
-                           load_fleet_manifest, merge_decisions,
-                           serve_stream_sharded, shard_file_name,
-                           shard_of_bank)
+                           load_fleet_manifest, merge_decisions, serve,
+                           shard_file_name, shard_of_bank)
 from repro.telemetry.events import ErrorRecord, ErrorType
 
 MAX_SKEW = 600.0
@@ -76,7 +75,8 @@ def truth(small_dataset, bank_split):
 @pytest.fixture(scope="module")
 def baseline(cordial, test_stream):
     service = CordialService(cordial, max_skew=MAX_SKEW)
-    service, decisions = serve_stream(service, test_stream)
+    _, outcome = serve(service, test_stream)
+    service, decisions = outcome.service, outcome.decisions
     return service, decisions
 
 
@@ -145,10 +145,10 @@ class TestFleetCheckpoint:
         expect_service, expect = baseline
         engine = ShardedCordialEngine(cordial, 2, max_skew=MAX_SKEW)
         try:
-            engine, outcome = serve_stream_sharded(
+            engine, outcome = serve(
                 engine, test_stream,
-                checkpoint_dir=str(tmp_path / "fleet.ckpt"),
-                checkpoint_at=len(test_stream) // 2)
+                checkpoint_path=str(tmp_path / "fleet.ckpt"),
+                kill_points=[len(test_stream) // 2])
         finally:
             engine.close()
         assert engine.epoch == 1  # the restart really happened
@@ -249,6 +249,8 @@ class TestRouter:
         assert router.dead_letter_counts == \
             service.collector.dead_letter_counts
         assert router.dead_letter_counts == {"late": 1, "malformed": 2}
+        # The whole ledger matches: reason, detail, timestamp and record.
+        assert router.dead_letters == service.collector.dead_letters
 
     def test_routed_records_never_requarantined(self, cordial, test_stream):
         """Records the router accepts pass their shard collector: the
@@ -266,13 +268,18 @@ class TestServingPathFixes:
     def test_checkpoint_at_outside_stream_raises(self, cordial, test_stream):
         service = CordialService(cordial, max_skew=MAX_SKEW)
         with pytest.raises(ValueError, match="never fire"):
-            serve_stream(service, test_stream[:10],
-                         checkpoint_path="unused.ckpt.json",
-                         checkpoint_at=11)
+            serve(service, test_stream[:10],
+                  checkpoint_path="unused.ckpt.json", kill_points=[11])
         with pytest.raises(ValueError, match="never fire"):
-            serve_stream(service, test_stream[:10],
-                         checkpoint_path="unused.ckpt.json",
-                         checkpoint_at=0)
+            serve(service, test_stream[:10],
+                  checkpoint_path="unused.ckpt.json", kill_points=[0])
+        # One stray point among valid ones is not silently dropped.
+        with pytest.raises(ValueError, match=r"\[11\] outside"):
+            serve(service, test_stream[:10],
+                  checkpoint_path="unused.ckpt.json", kill_points=[3, 11])
+        # Kill points without a checkpoint path could never restart.
+        with pytest.raises(ValueError, match="need a checkpoint_path"):
+            serve(service, test_stream[:10], kill_points=[3])
 
     def test_sharded_checkpoint_at_outside_stream_raises(self, cordial,
                                                          test_stream,
@@ -280,9 +287,8 @@ class TestServingPathFixes:
         engine = ShardedCordialEngine(cordial, 2, max_skew=MAX_SKEW)
         try:
             with pytest.raises(ValueError, match="never fire"):
-                serve_stream_sharded(engine, test_stream[:10],
-                                     checkpoint_dir=str(tmp_path / "c"),
-                                     checkpoint_at=11)
+                serve(engine, test_stream[:10],
+                      checkpoint_path=str(tmp_path / "c"), kill_points=[11])
         finally:
             engine.close()
 
